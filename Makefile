@@ -18,12 +18,14 @@ race:
 race-all:
 	$(GO) test -race -count=1 ./...
 
-# fuzz-smoke gives the wire-codec fuzzer a short budget on every run:
-# ten seconds of FuzzMessageCodec over the corpus plus fresh mutations.
-# Deep fuzzing is a background activity; this gate just keeps the codec
-# honest against the easy classes of malformed frame.
+# fuzz-smoke gives each decoder of untrusted bytes a short budget on
+# every run: ten seconds of FuzzMessageCodec (the wire codec) and of
+# FuzzParseAddr (the join IP string) over the corpus plus fresh
+# mutations. Deep fuzzing is a background activity; this gate just keeps
+# the decoders honest against the easy classes of malformed input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageCodec' -fuzztime 10s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseAddr' -fuzztime 10s ./internal/bgp/
 
 vet:
 	$(GO) vet ./...
@@ -90,12 +92,13 @@ lint:
 	$(GO) run ./cmd/asaplint ./internal/...
 
 # allocgate re-runs the allocation-regression tests (TestEncodeAllocs,
-# TestDecodeAllocs*, TestClusterStatsBatchAllocs) in a plain build: the
-# race runs above skip them because -race instruments allocations, so
-# without this target `check` would never enforce the zero-alloc wire
-# path (DESIGN.md §15).
+# TestDecodeAllocs*, TestClusterStatsBatchAllocs, TestParseAddrAllocs)
+# in a plain build: the race runs above skip them because -race
+# instruments allocations, so without this target `check` would never
+# enforce the zero-alloc wire path (DESIGN.md §15) or the allocation-free
+# join address parse.
 allocgate:
-	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/
+	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/ ./internal/bgp/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 0.2s .

@@ -87,17 +87,18 @@ func run(args []string) error {
 		if *parallel < 1 || *parallel > 256 {
 			return fmt.Errorf("-parallel %d is not a usable shard count; pick 1..256 (outcomes are byte-identical for any value, so match your core count)", *parallel)
 		}
-		return runScaleLadder(*nodesFlag, *parallel, *scaleSeed, *benchOut)
-	}
-	for _, name := range []string{"nodes", "benchout", "scale-seed"} {
-		if set[name] {
-			return fmt.Errorf("-%s only applies to the deployment ladder; add -scale to run it", name)
+	} else {
+		for _, name := range []string{"nodes", "benchout", "scale-seed"} {
+			if set[name] {
+				return fmt.Errorf("-%s only applies to the deployment ladder; add -scale to run it", name)
+			}
+		}
+		if *parallel < 1 {
+			return fmt.Errorf("-parallel %d: need at least one measurement worker", *parallel)
 		}
 	}
-	if *parallel < 1 {
-		return fmt.Errorf("-parallel %d: need at least one measurement worker", *parallel)
-	}
 
+	// Profiles start before the mode branch so they cover both modes.
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -122,6 +123,9 @@ func run(args []string) error {
 				fmt.Fprintln(os.Stderr, "asapsim: memprofile:", err)
 			}
 		}()
+	}
+	if *scaleMode {
+		return runScaleLadder(*nodesFlag, *parallel, *scaleSeed, *benchOut)
 	}
 
 	profile, err := eval.ProfileByName(*profileName)

@@ -24,19 +24,42 @@ func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
 }
 
-// ParseAddr parses a dotted-quad IPv4 address.
+// ParseAddr parses a dotted-quad IPv4 address. It runs on every join,
+// so it parses in place without allocating (the error path aside). Each
+// of the four fields is an optional sign and at least one decimal digit
+// with a value in [0, 255] — the fields strconv.Atoi accepts in that
+// range, so leading zeros, "+7" and "-0" parse; parseAddrReference in
+// the tests keeps the split-and-Atoi original, and FuzzParseAddr holds
+// the two to the same accept set.
 func ParseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("bgp: invalid address %q", s)
-	}
 	var a uint32
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
+	i := 0
+	for field := 0; field < 4; field++ {
+		if field > 0 {
+			if i == len(s) || s[i] != '.' {
+				return 0, fmt.Errorf("bgp: invalid address %q", s)
+			}
+			i++
+		}
+		neg := false
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			neg = s[i] == '-'
+			i++
+		}
+		start := i
+		var v uint32
+		for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+			if v <= 255 { // saturate: any longer run is already out of range
+				v = v*10 + uint32(s[i]-'0')
+			}
+		}
+		if i == start || v > 255 || (neg && v != 0) {
 			return 0, fmt.Errorf("bgp: invalid address %q", s)
 		}
-		a = a<<8 | uint32(v)
+		a = a<<8 | v
+	}
+	if i != len(s) {
+		return 0, fmt.Errorf("bgp: invalid address %q", s)
 	}
 	return Addr(a), nil
 }

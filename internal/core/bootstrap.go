@@ -84,11 +84,13 @@ type Bootstrap struct {
 	surro map[string]surrogateLease // cluster key -> surrogate lease
 	byAS  map[asgraph.ASN][]string  // AS -> cluster keys
 	known map[string]asgraph.ASN    // cluster key -> AS
-	// keys interns cluster-key strings: every join re-derives its key by
-	// formatting the matched prefix, and without interning a million
-	// joiners would each retain a private copy of the same few thousand
-	// keys (in their JoinReply, Node.clusterKey, lease table entries).
-	keys map[string]string
+	// keys interns cluster-key strings by prefix. Filled once here and
+	// read-only afterwards, it lets a join hand out the shared key of the
+	// prefix its trie lookup matched without formatting it: a million
+	// joiners share one copy of each key (in their JoinReply,
+	// Node.clusterKey, lease table entries), and the join path — which
+	// this actor serializes — never calls fmt.
+	keys map[bgp.Prefix]string
 }
 
 // NewBootstrap builds and serves a bootstrap node on addr.
@@ -109,7 +111,7 @@ func NewBootstrap(tr transport.Transport, addr transport.Addr, cfg BootstrapConf
 		surro: make(map[string]surrogateLease),
 		byAS:  make(map[asgraph.ASN][]string),
 		known: make(map[string]asgraph.ASN),
-		keys:  make(map[string]string),
+		keys:  make(map[bgp.Prefix]string),
 	}
 	for _, po := range cfg.Prefixes {
 		p, err := bgp.ParsePrefix(po.Prefix)
@@ -119,7 +121,7 @@ func NewBootstrap(tr transport.Transport, addr transport.Addr, cfg BootstrapConf
 		b.trie.Insert(p, po.ASN)
 		key := p.String()
 		b.known[key] = po.ASN
-		b.keys[key] = key
+		b.keys[p] = key
 		b.byAS[po.ASN] = append(b.byAS[po.ASN], key)
 	}
 	if b.sched == nil {
@@ -187,11 +189,11 @@ func (b *Bootstrap) handle(from transport.Addr, req *transport.Message) (*transp
 		if !ok {
 			return nil, fmt.Errorf("core: no route for %s", req.IP)
 		}
-		key := prefix.String()
-		b.mu.Lock()
-		if canon, ok := b.keys[key]; ok {
-			key = canon // drop the freshly formatted copy for the interned one
+		key, ok := b.keys[prefix]
+		if !ok {
+			key = prefix.String()
 		}
+		b.mu.Lock()
 		sur, _ := b.liveSurrogateLocked(key)
 		b.mu.Unlock()
 		return &transport.Message{

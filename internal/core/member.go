@@ -59,8 +59,10 @@ type Node struct {
 	cancel context.CancelFunc
 
 	// jitterRNG is the node's seeded retry-jitter stream (sim.SubSeed of
-	// cfg.Seed and the bound address); the mutex covers wall-mode
-	// concurrent retries.
+	// cfg.Seed and the bound address), created on the first draw: a
+	// math/rand source is ~5 KB, and a node that never retries never
+	// needs one. The mutex covers creation and wall-mode concurrent
+	// retries.
 	jitterMu  sync.Mutex
 	jitterRNG *sim.RNG
 
@@ -144,10 +146,6 @@ func NewNode(tr transport.Transport, addr transport.Addr, cfg NodeConfig) (*Node
 		return nil, err
 	}
 	n.addr = bound
-	// The jitter stream is derived from the configured seed and the bound
-	// address, so every node retries on its own reproducible schedule.
-	n.jitterRNG = sim.NewRNG(sim.SubSeed(cfg.Seed,
-		sim.StringLabel("retry-jitter"), sim.StringLabel(string(bound))))
 
 	// Join (with backoff — a bootstrap missing one beat must not abort).
 	resp, err := n.retryCall(cfg.Bootstrap, &transport.Message{
@@ -261,10 +259,17 @@ func (n *Node) bgDone() {
 	}
 }
 
-// jitter draws from the node's seeded retry-jitter stream.
+// jitter draws from the node's seeded retry-jitter stream. The stream is
+// derived from the configured seed and the bound address, so every node
+// retries on its own reproducible schedule; creating it on the first draw
+// leaves that schedule unchanged.
 func (n *Node) jitter() float64 {
 	n.jitterMu.Lock()
 	defer n.jitterMu.Unlock()
+	if n.jitterRNG == nil {
+		n.jitterRNG = sim.NewRNG(sim.SubSeed(n.cfg.Seed,
+			sim.StringLabel("retry-jitter"), sim.StringLabel(string(n.addr))))
+	}
 	return n.jitterRNG.Float64()
 }
 
