@@ -92,13 +92,14 @@ lint:
 	$(GO) run ./cmd/asaplint ./internal/...
 
 # allocgate re-runs the allocation-regression tests (TestEncodeAllocs,
-# TestDecodeAllocs*, TestClusterStatsBatchAllocs, TestParseAddrAllocs)
-# in a plain build: the race runs above skip them because -race
-# instruments allocations, so without this target `check` would never
-# enforce the zero-alloc wire path (DESIGN.md §15) or the allocation-free
-# join address parse.
+# TestDecodeAllocs*, TestClusterStatsBatchAllocs, TestParseAddrAllocs,
+# TestClockAllocs) in a plain build: the race runs above skip them
+# because -race instruments allocations, so without this target `check`
+# would never enforce the zero-alloc wire path (DESIGN.md §15), the
+# allocation-free join address parse or the clock's task hand-off cost
+# (DESIGN.md §10).
 allocgate:
-	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/ ./internal/bgp/
+	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/ ./internal/bgp/ ./internal/sim/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 0.2s .

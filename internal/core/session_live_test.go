@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -157,8 +158,21 @@ func TestEnsureFlowCachesAndDrops(t *testing.T) {
 // the direct h1<->h2 path is slow, r1 (AS300) is the best relay and r2
 // (AS10) a somewhat slower second choice.
 func sessionWorld(t *testing.T) (*transport.Mem, *Node, *Node, *Node, *Node) {
+	return sessionWorldOn(t, nil)
+}
+
+// sessionWorldOn builds sessionWorld's deployment on clk, or on wall
+// time when clk is nil.
+func sessionWorldOn(t *testing.T, clk *sim.Clock) (*transport.Mem, *Node, *Node, *Node, *Node) {
 	t.Helper()
 	mem := transport.NewMem()
+	var sched sim.Scheduler
+	build := func(fn func()) { fn() }
+	if clk != nil {
+		// Joins wait on the scheduler, so they run as a clock task.
+		mem.Sched, sched = clk, clk
+		build = func(fn func()) { clk.RunTask(fn) }
+	}
 	addrAS := map[transport.Addr]int{"bs": 0, "h1": 100, "h2": 200, "r1": 300, "r2": 10}
 	oneWay := map[[2]int]time.Duration{
 		{100, 200}: 100 * time.Millisecond, // slow direct
@@ -181,24 +195,26 @@ func sessionWorld(t *testing.T) (*transport.Mem, *Node, *Node, *Node, *Node) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(addr transport.Addr, ip string) *Node {
-		n, err := NewNode(mem, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams()})
-		if err != nil {
-			t.Fatalf("node %s: %v", addr, err)
+	nodes := make(map[transport.Addr]*Node)
+	build(func() {
+		for _, n := range []struct {
+			addr transport.Addr
+			ip   string
+		}{{"r1", "10.30.0.1"}, {"r2", "10.10.0.1"}, {"h1", "10.100.0.1"}, {"h2", "10.200.0.1"}} {
+			nodes[n.addr], err = NewNode(mem, n.addr, NodeConfig{IP: n.ip, Bootstrap: bs.Addr(), Params: testParams(), Sched: sched})
+			if err != nil {
+				err = fmt.Errorf("node %s: %w", n.addr, err)
+				return
+			}
 		}
-		return n
-	}
-	r1 := mk("r1", "10.30.0.1")
-	r2 := mk("r2", "10.10.0.1")
-	h1 := mk("h1", "10.100.0.1")
-	h2 := mk("h2", "10.200.0.1")
-	if err := h1.RefreshCloseSet(); err != nil {
+		if err = nodes["h1"].RefreshCloseSet(); err == nil {
+			err = nodes["h2"].RefreshCloseSet()
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h2.RefreshCloseSet(); err != nil {
-		t.Fatal(err)
-	}
-	return mem, h1, h2, r1, r2
+	return mem, nodes["h1"], nodes["h2"], nodes["r1"], nodes["r2"]
 }
 
 func TestSetupCallRankedCandidates(t *testing.T) {
@@ -340,6 +356,110 @@ func TestLiveSessionFailover(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(kinds, ","), "failover") {
 		t.Errorf("no failover event in %v", kinds)
+	}
+}
+
+// keepaliveLog is a session driver over a Node that remembers the flow
+// ID of the last keepalive sent to each target.
+type keepaliveLog struct {
+	*Node
+	last map[transport.Addr]uint64
+}
+
+func (d *keepaliveLog) Keepalive(target transport.Addr, flowID uint64) error {
+	d.last[target] = flowID
+	return d.Node.Keepalive(target, flowID)
+}
+
+// TestVirtualSessionFailoverOpensFlow is TestLiveSessionFailover on a
+// virtual clock: r1 dies, the call fails over to r2, and the flow opener
+// opens a flow there that the keepalives then assert. The opener is a
+// transport call, so on a *sim.Clock it parks the task that runs it; a
+// manager that held its lock across the call would block the next tick
+// on that lock and, with it, the clock. A wall timeout turns such a hang
+// into a failure.
+func TestVirtualSessionFailoverOpensFlow(t *testing.T) {
+	clk := sim.NewClock()
+	mem, h1, h2, r1, r2 := sessionWorldOn(t, clk)
+	defer func() { _ = mem.Close() }()
+	drv := &keepaliveLog{Node: h1, last: make(map[transport.Addr]uint64)}
+	var opened uint64 // the flow the opener opened on r2
+
+	cfg := session.DefaultConfig()
+	cfg.ProbeInterval = 40 * time.Millisecond
+	cfg.KeepaliveInterval = 25 * time.Millisecond
+	cfg.KeepaliveMisses = 2
+	cfg.KeepaliveBackoff = 10 * time.Millisecond
+	cfg.Backups = 2
+	var sess *session.Session
+	run := func() {
+		choice, err := h1.SetupCall(h2.Addr())
+		if err != nil || choice.Relay != r1.Addr() {
+			t.Errorf("SetupCall = %+v, %v; want relay %q", choice, err, r1.Addr())
+			return
+		}
+		flowID, err := h1.EnsureFlow(choice.Relay, h2.Addr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mgr, err := session.NewManager(cfg, clk, drv,
+			session.WithFlowOpener(func(relay, callee transport.Addr) (uint64, error) {
+				id, err := h1.EnsureFlow(relay, callee)
+				if err == nil && relay == r2.Addr() {
+					opened = id
+				}
+				return id, err
+			}),
+			session.WithEventLog(func(e session.Event) {
+				if e.Kind == "relay-failed" {
+					h1.DropFlow(e.Relay, h2.Addr())
+				}
+			}))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer mgr.Close()
+		var backups []session.Candidate
+		for _, c := range choice.Ranked[1:] {
+			backups = append(backups, session.Candidate{Relay: c.Relay, Est: c.Est})
+		}
+		sess, err = mgr.Open(h2.Addr(), session.Candidate{Relay: choice.Relay, Est: choice.EstRTT}, backups, flowID)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mgr.Start()
+		clk.Sleep(150 * time.Millisecond)
+		mem.Unbind(r1.Addr())
+		clk.Sleep(time.Second)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		clk.RunTask(run)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("virtual failover run hung: the flow opener ran under the manager lock")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if sess.Failovers() != 1 || sess.Active().Relay != r2.Addr() {
+		t.Fatalf("failovers = %d, active = %q; want 1 onto %q", sess.Failovers(), sess.Active().Relay, r2.Addr())
+	}
+	if st := sess.State(); st == session.StateFailed {
+		t.Fatalf("session failed after failover onto %q", r2.Addr())
+	}
+	if opened == 0 {
+		t.Fatalf("no flow opened on %q", r2.Addr())
+	}
+	if got := drv.last[r2.Addr()]; got != opened {
+		t.Errorf("last keepalive to %q asserted flow %d, want the opened flow %d", r2.Addr(), got, opened)
 	}
 }
 

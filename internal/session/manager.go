@@ -141,8 +141,9 @@ func WithEventLog(fn func(Event)) Option {
 // WithFlowOpener installs the hook that opens a relay flow toward the
 // callee when a switch or failover lands on a relay path, so keepalives
 // assert the *new* relay's flow. core's (*Node).EnsureFlow matches the
-// signature. Without it, post-switch keepalives degrade to plain
-// liveness checks (flow ID 0).
+// signature. It runs once the switch has committed, outside the manager
+// lock, so it may block on the transport; until it returns, keepalives
+// check plain liveness (flow ID 0), as they do for good without it.
 func WithFlowOpener(fn func(relay, callee transport.Addr) (uint64, error)) Option {
 	return func(m *Manager) { m.openFlow = fn }
 }
@@ -163,11 +164,12 @@ type Manager struct {
 	onEvent  func(Event)
 	openFlow func(relay, callee transport.Addr) (uint64, error)
 
-	mu       sync.Mutex
-	sessions map[uint64]*Session
-	nextID   uint64
-	started  bool
-	closed   bool
+	mu        sync.Mutex
+	sessions  map[uint64]*Session
+	nextID    uint64
+	started   bool
+	closed    bool
+	flowOpens []flowOpen // relay flows switches need, opened at unlock
 }
 
 // NewManager builds a session manager over the given scheduler and
@@ -391,7 +393,7 @@ func (m *Manager) probeTick() {
 		}
 	}
 	closed := m.closed
-	m.mu.Unlock()
+	m.unlockAndOpenFlows()
 	if closed {
 		return
 	}
@@ -511,15 +513,12 @@ func (m *Manager) switchToLocked(s *Session, idx int, quality bool) {
 		m.event(s, "failover", next.Relay, fmt.Sprintf("%s -> %s", pathName(old.Relay), pathName(next.Relay)))
 	}
 	s.active = next
-	// The old relay's flow dies with the old path: open a flow on the new
-	// relay so keepalives assert it, or fall back to plain liveness.
+	// The old relay's flow dies with the old path: keepalives fall back
+	// to plain liveness until unlockAndOpenFlows opens a flow on the new
+	// relay for them to assert.
 	s.flowID = 0
 	if next.Relay != "" && m.openFlow != nil {
-		if id, err := m.openFlow(next.Relay, s.callee); err == nil {
-			s.flowID = id
-		} else {
-			m.event(s, "flow-open-failed", next.Relay, err.Error())
-		}
+		m.flowOpens = append(m.flowOpens, flowOpen{s: s, relay: next.Relay, moves: s.switches + s.failovers})
 	}
 	s.kaMisses = 0
 	for k := range s.streak {
@@ -537,6 +536,47 @@ func (m *Manager) switchToLocked(s *Session, idx int, quality bool) {
 		// under the manager lock.
 		relay := next.Relay
 		m.clk.After(0, func() { fn(relay) })
+	}
+}
+
+// flowOpen is one relay flow a switch needs: snapshotted under the lock
+// by switchToLocked, opened with the lock released, and committed only
+// if the session has not moved since.
+type flowOpen struct {
+	s      *Session
+	relay  transport.Addr
+	moves  int // s.switches + s.failovers when the switch committed
+	flowID uint64
+	err    error
+}
+
+// unlockAndOpenFlows releases m.mu, then opens the relay flows that the
+// switches committed under it need. It follows the ticks' snapshot–I/O–
+// commit shape: the opener is transport I/O, which under a *sim.Clock
+// parks the calling task and so must never run with the lock held.
+func (m *Manager) unlockAndOpenFlows() {
+	opens := m.flowOpens
+	m.flowOpens = nil
+	m.mu.Unlock()
+	if len(opens) == 0 {
+		return
+	}
+	for i := range opens {
+		o := &opens[i]
+		o.flowID, o.err = m.openFlow(o.relay, o.s.callee)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, o := range opens {
+		s := o.s
+		if m.closed || m.sessions[s.id] != s || s.switches+s.failovers != o.moves {
+			continue // closed, or moved on: the flow is for a stale path
+		}
+		if o.err != nil {
+			m.event(s, "flow-open-failed", o.relay, o.err.Error())
+			continue
+		}
+		s.flowID = o.flowID
 	}
 }
 
@@ -603,7 +643,7 @@ func (m *Manager) keepaliveTick() {
 		}
 	}
 	closed := m.closed
-	m.mu.Unlock()
+	m.unlockAndOpenFlows()
 	if closed {
 		return
 	}
@@ -668,15 +708,10 @@ func (m *Manager) retryKeepalive(id uint64) {
 	p.err = m.drv.Keepalive(p.target, p.flowID)
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return
+	if s, ok = m.sessions[id]; ok && !m.closed && s.state != StateClosed && !s.retryPending {
+		m.commitKeepaliveLocked(s, p)
 	}
-	s, ok = m.sessions[id]
-	if !ok || s.state == StateClosed || s.retryPending {
-		return
-	}
-	m.commitKeepaliveLocked(s, p)
+	m.unlockAndOpenFlows()
 }
 
 // failActiveLocked declares the active relay dead and fails over to the

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -15,13 +16,18 @@ import (
 //
 // Execution model: every scheduled callback (After, AfterFunc, Go, Join)
 // runs as a *task* — a goroutine that holds the clock's single virtual
-// CPU. Exactly one task runs at a time; it yields only at scheduler
-// calls (Sleep, SleepCtx, Join, Waiter.Wait) or by finishing, at which
-// point the event loop resumes the next event in (time, schedule-order)
-// sequence. Because interleaving points are explicit and the event order
-// is a pure function of the schedule, a whole-stack run over the virtual
-// clock is deterministic: same seed, same byte-identical trace — no
-// matter the host, GOMAXPROCS, or run count.
+// CPU. Exactly one goroutine holds the CPU at a time; a task gives it up
+// only at scheduler calls (Sleep, SleepCtx, Join, Waiter.Wait) or by
+// finishing. There is no event-loop goroutine: the goroutine giving up
+// the CPU pops the next event in (time, schedule-order) sequence itself
+// and hands the CPU straight to the task that event names — waking a
+// parked task, spawning a new one, or simply returning when the event is
+// its own resume. Only when nothing is due within the bound of the
+// running Step/Run/RunUntil/RunTask does the CPU go back to the caller
+// that drives the clock. Because interleaving points are explicit and
+// the event order is a pure function of the schedule, a whole-stack run
+// over the virtual clock is deterministic: same seed, same
+// byte-identical trace — no matter the host, GOMAXPROCS, or run count.
 //
 // Clock methods are safe for concurrent use, but the blocking calls
 // (Sleep, Join, Waiter.Wait) must come from scheduler tasks; calling
@@ -33,19 +39,21 @@ type Clock struct {
 	live     int        // pending events not canceled — Pending() in O(1)
 	nextID   uint64
 	executed uint64
-	current  *task // task holding the virtual CPU (nil while the loop runs)
+	current  *task // task holding the virtual CPU (nil while the driver holds it)
 	tasks    int   // live tasks: started (or queued to start) and not finished
+
+	// The bound of the drive in progress (see drive): events after limit,
+	// or past the stopAt-th executed event, or once halt is set, are left
+	// for the next drive and the CPU returns to the driver over driver.
+	limit  time.Duration
+	stopAt uint64
+	halt   bool
+	driver chan struct{}
 }
 
 // NewClock returns a virtual clock at time zero, backed by the
 // hierarchical timer-wheel event store (wheel.go).
 func NewClock() *Clock { return &Clock{events: newWheelStore()} }
-
-// NewReferenceClock returns a virtual clock backed by the original
-// single binary-heap event store. It is the executable specification the
-// timer wheel is differentially tested against (wheel_test.go): for any
-// schedule, both clocks must produce byte-identical event orders.
-func NewReferenceClock() *Clock { return &Clock{events: &heapStore{}} }
 
 // storeLocked returns the event store, initializing the default wheel
 // for zero-value Clocks. Called with c.mu held.
@@ -56,41 +64,24 @@ func (c *Clock) storeLocked() eventStore {
 	return c.events
 }
 
-// task is one tracked goroutine. The loop and the task hand the virtual
-// CPU back and forth over the two unbuffered channels: wake means "you
-// run now", park means "I blocked or finished".
+// task is one tracked goroutine, parked on wake whenever it does not
+// hold the virtual CPU. The goroutine that hands it the CPU sends on
+// wake; the buffer lets that send complete before the task has parked.
 type task struct {
 	wake chan struct{}
-	park chan struct{}
 }
 
-// event is a scheduled callback, run by the event loop.
+// event is one scheduled dispatch. Exactly one of start, resume and
+// waiter is set: start a new task running start, hand the CPU back to
+// the parked task resume, or time out waiter.
 type event struct {
 	at       time.Duration
 	id       uint64 // tie-break so equal-time events run in schedule order
-	call     func()
+	start    func()
+	resume   *task
+	waiter   *clockWaiter
 	canceled bool
 	fired    bool
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].id < q[j].id
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
 }
 
 // Now returns the current virtual time.
@@ -100,16 +91,24 @@ func (c *Clock) Now() time.Duration {
 	return c.now
 }
 
-// scheduleLocked enqueues a raw loop callback at absolute time at.
-func (c *Clock) scheduleLocked(at time.Duration, call func()) *event {
-	if at < c.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, c.now))
+// scheduleLocked enqueues e, whose at and dispatch field the caller
+// has set, and returns it. Called with c.mu held.
+func (c *Clock) scheduleLocked(e *event) *event {
+	if e.at < c.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", e.at, c.now))
 	}
 	c.nextID++
-	e := &event{at: at, id: c.nextID, call: call}
+	e.id = c.nextID
 	c.storeLocked().push(e)
 	c.live++
 	return e
+}
+
+// startLocked schedules fn to start as a new task at absolute time at.
+// Called with c.mu held.
+func (c *Clock) startLocked(at time.Duration, fn func()) *event {
+	c.tasks++
+	return c.scheduleLocked(&event{at: at, start: fn})
 }
 
 // cancelLocked marks a pending event canceled; the store discards it
@@ -125,8 +124,7 @@ func (c *Clock) cancelLocked(e *event) {
 func (c *Clock) At(at time.Duration, fn func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tasks++
-	c.scheduleLocked(at, func() { c.startTask(fn) })
+	c.startLocked(at, fn)
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -136,8 +134,7 @@ func (c *Clock) After(d time.Duration, fn func()) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tasks++
-	c.scheduleLocked(c.now+d, func() { c.startTask(fn) })
+	c.startLocked(c.now+d, fn)
 }
 
 // AfterFunc implements Scheduler: After with a cancelable handle.
@@ -147,9 +144,7 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) Timer {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tasks++
-	e := c.scheduleLocked(c.now+d, func() { c.startTask(fn) })
-	return &clockTimer{c: c, e: e}
+	return &clockTimer{c: c, e: c.startLocked(c.now+d, fn)}
 }
 
 // clockTimer cancels a pending task event.
@@ -174,43 +169,77 @@ func (t *clockTimer) Stop() bool {
 func (c *Clock) Go(fn func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tasks++
-	c.scheduleLocked(c.now, func() { c.startTask(fn) })
+	c.startLocked(c.now, fn)
 }
 
-// startTask spawns the goroutine for a task event and hands it the CPU.
-// Runs on the loop goroutine.
-func (c *Clock) startTask(fn func()) {
-	t := &task{wake: make(chan struct{}), park: make(chan struct{})}
-	go func() {
-		<-t.wake
-		fn()
-		c.mu.Lock()
-		c.current = nil
-		c.tasks--
+// handoffLocked gives up the virtual CPU held by the calling goroutine:
+// it pops the next event due within the drive's bound and hands the CPU
+// to the task that event names. self is the caller's own task, or nil
+// for the driver and for a finished task. Called with c.mu held; returns
+// with it released, naming the new holder of the CPU: self when the next
+// event was self's own resume (the caller keeps running), nil when
+// nothing is due and the CPU belongs to the driver again. A caller that
+// gets back any other task has handed the CPU over and must park.
+func (c *Clock) handoffLocked(self *task) *task {
+	for !c.halt && c.executed < c.stopAt {
+		e := c.storeLocked().pop(c.limit)
+		if e == nil {
+			break
+		}
+		e.fired = true
+		c.now = e.at
+		c.live--
+		c.executed++
+		t := e.resume
+		switch {
+		case e.start != nil:
+			t = &task{wake: make(chan struct{}, 1)}
+			c.current = t
+			c.mu.Unlock()
+			go c.run(e.start)
+			return t
+		case e.waiter != nil:
+			// A Waiter deadline: time out the waiting task, unless a
+			// Wake already claimed it.
+			w := e.waiter
+			t, w.waiting, w.deadline, w.timedOut = w.waiting, nil, nil, true
+			if t == nil {
+				continue
+			}
+		}
+		c.current = t
 		c.mu.Unlock()
-		t.park <- struct{}{}
-	}()
-	c.resume(t)
-}
-
-// resume hands the virtual CPU to t and blocks until t parks or
-// finishes. Runs on the loop goroutine.
-func (c *Clock) resume(t *task) {
-	c.mu.Lock()
-	c.current = t
-	c.mu.Unlock()
-	t.wake <- struct{}{}
-	<-t.park
-}
-
-// yieldLocked parks the calling task (which must hold the CPU) until a
-// previously scheduled resume event hands it back. Called with c.mu
-// held; returns with it released.
-func (c *Clock) yieldLocked(t *task) {
+		if t != self {
+			t.wake <- struct{}{}
+		}
+		return t
+	}
 	c.current = nil
 	c.mu.Unlock()
-	t.park <- struct{}{}
+	return nil
+}
+
+// run is the body of a task goroutine. It starts out holding the
+// virtual CPU and, once fn returns, passes the CPU on.
+func (c *Clock) run(fn func()) {
+	fn()
+	c.mu.Lock()
+	c.tasks--
+	if c.handoffLocked(nil) == nil {
+		c.driver <- struct{}{}
+	}
+}
+
+// yieldLocked parks the calling task t, which holds the CPU, until an
+// event hands the CPU back to it. Called with c.mu held; returns with it
+// released.
+func (c *Clock) yieldLocked(t *task) {
+	switch c.handoffLocked(t) {
+	case t:
+		return
+	case nil:
+		c.driver <- struct{}{}
+	}
 	<-t.wake
 }
 
@@ -225,14 +254,14 @@ func (c *Clock) mustCurrentLocked(op string) *task {
 }
 
 // Sleep implements Scheduler: the calling task parks for d of virtual
-// time while the event loop keeps draining other events.
+// time while other tasks run.
 func (c *Clock) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	c.mu.Lock()
 	t := c.mustCurrentLocked("Sleep")
-	c.scheduleLocked(c.now+d, func() { c.resume(t) })
+	c.scheduleLocked(&event{at: c.now + d, resume: t})
 	c.yieldLocked(t)
 }
 
@@ -308,7 +337,7 @@ func (w *clockWaiter) Wake() {
 		c.cancelLocked(w.deadline)
 		w.deadline = nil
 	}
-	c.scheduleLocked(c.now, func() { c.resume(t) })
+	c.scheduleLocked(&event{at: c.now, resume: t})
 }
 
 func (w *clockWaiter) Wait(timeout time.Duration) bool {
@@ -325,17 +354,7 @@ func (w *clockWaiter) Wait(timeout time.Duration) bool {
 	t := c.mustCurrentLocked("Waiter.Wait")
 	w.waiting = t
 	if timeout >= 0 {
-		w.deadline = c.scheduleLocked(c.now+timeout, func() {
-			c.mu.Lock()
-			tt := w.waiting
-			w.waiting = nil
-			w.timedOut = true
-			w.deadline = nil
-			c.mu.Unlock()
-			if tt != nil {
-				c.resume(tt)
-			}
-		})
+		w.deadline = c.scheduleLocked(&event{at: c.now + timeout, waiter: w})
 	}
 	c.yieldLocked(t)
 	c.mu.Lock()
@@ -343,38 +362,48 @@ func (w *clockWaiter) Wait(timeout time.Duration) bool {
 	return w.woken
 }
 
-// Step runs the earliest pending event, advancing the clock to its time
-// and blocking until the stack quiesces again (the event's task parked
-// or finished). It reports whether an event ran.
-func (c *Clock) Step() bool {
+// forever is the bound of a drive with no deadline.
+const forever = time.Duration(math.MaxInt64)
+
+// drive runs events until none is due within its bound — at or before
+// limit, at most one event when single, and no further once RunTask's
+// root task has ended — and returns how many ran. The calling goroutine
+// holds the virtual CPU while no task does: it hands the CPU to the
+// first due event and gets it back over c.driver when nothing more is
+// due.
+func (c *Clock) drive(limit time.Duration, single bool) int {
 	c.mu.Lock()
 	if c.current != nil {
 		c.mu.Unlock()
-		panic("sim: Step while a task holds the virtual CPU")
+		panic("sim: driving the clock while a task holds the virtual CPU")
 	}
-	e := c.storeLocked().pop()
-	if e == nil {
-		c.mu.Unlock()
-		return false
+	if c.driver == nil {
+		c.driver = make(chan struct{})
 	}
-	e.fired = true
-	c.now = e.at
-	c.live--
-	c.executed++
-	c.mu.Unlock()
-	e.call()
-	return true
+	start := c.executed
+	c.limit, c.stopAt, c.halt = limit, math.MaxUint64, false
+	if single {
+		c.stopAt = start + 1
+	}
+	if c.handoffLocked(nil) != nil {
+		<-c.driver
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return int(c.executed - start)
 }
+
+// Step runs the earliest pending event, advancing the clock to its time
+// and blocking until the stack quiesces again (the event's task parked
+// or finished). It reports whether an event ran.
+func (c *Clock) Step() bool { return c.drive(forever, true) > 0 }
 
 // Run drains all pending events, including events scheduled by events.
 // It returns the number of events executed, and panics if tasks remain
 // parked with nothing left to wake them — a deadlock in the simulated
 // protocol.
 func (c *Clock) Run() int {
-	n := 0
-	for c.Step() {
-		n++
-	}
+	n := c.drive(forever, false)
 	c.mu.Lock()
 	stuck := c.tasks
 	c.mu.Unlock()
@@ -385,21 +414,22 @@ func (c *Clock) Run() int {
 }
 
 // RunTask runs fn as a task at the current virtual time and drives the
-// event loop until fn returns, leaving any later-scheduled events
-// unrun (background loops simply stop ticking when the workload ends).
-// It returns the number of events executed.
+// clock until fn returns, leaving any later-scheduled events unrun
+// (background loops simply stop ticking when the workload ends). It
+// returns the number of events executed.
 func (c *Clock) RunTask(fn func()) int {
-	done := false
 	c.Go(func() {
 		fn()
-		done = true
+		c.mu.Lock()
+		c.halt = true
+		c.mu.Unlock()
 	})
-	n := 0
-	for !done {
-		if !c.Step() {
-			panic("sim: RunTask: root task parked with an empty event queue (deadlock)")
-		}
-		n++
+	n := c.drive(forever, false)
+	c.mu.Lock()
+	done := c.halt
+	c.mu.Unlock()
+	if !done {
+		panic("sim: RunTask: root task parked with an empty event queue (deadlock)")
 	}
 	return n
 }
@@ -407,23 +437,13 @@ func (c *Clock) RunTask(fn func()) int {
 // RunUntil drains events with time <= deadline, advancing the clock to
 // exactly deadline afterwards. It returns the number of events executed.
 func (c *Clock) RunUntil(deadline time.Duration) int {
-	n := 0
-	for {
-		c.mu.Lock()
-		at, ok := c.storeLocked().next()
-		if !ok || at > deadline {
-			if c.now < deadline {
-				c.now = deadline
-			}
-			c.mu.Unlock()
-			return n
-		}
-		c.mu.Unlock()
-		if !c.Step() {
-			return n
-		}
-		n++
+	n := c.drive(deadline, false)
+	c.mu.Lock()
+	if c.now < deadline {
+		c.now = deadline
 	}
+	c.mu.Unlock()
+	return n
 }
 
 // Pending returns the number of scheduled events not yet run.

@@ -253,3 +253,166 @@ func TestWallSchedulerBasics(t *testing.T) {
 		t.Error("Stop on pending wall timer = false")
 	}
 }
+
+// TestClockStepRunsOneEvent: Step runs exactly one event, also when the
+// event after it is the running task's own resume, which the task would
+// otherwise take without giving up the CPU.
+func TestClockStepRunsOneEvent(t *testing.T) {
+	c := NewClock()
+	ticks := 0
+	c.Go(func() {
+		for i := 0; i < 3; i++ {
+			ticks++
+			c.Sleep(0) // its resume is the only pending event
+		}
+	})
+	for step := 1; step <= 4; step++ {
+		if !c.Step() {
+			t.Fatalf("step %d ran nothing", step)
+		}
+		if got := c.Executed(); got != uint64(step) {
+			t.Fatalf("after step %d: executed = %d", step, got)
+		}
+		if want := step; want <= 3 && ticks != want {
+			t.Fatalf("after step %d: task ticked %d times, want %d", step, ticks, want)
+		}
+	}
+	if c.Pending() != 0 || c.Step() {
+		t.Fatal("task should have finished on the fourth step")
+	}
+}
+
+// TestClockRunTaskLeavesLaterEventsUnrun: RunTask returns as soon as the
+// root task ends, leaving later events unrun, even one due at that same
+// instant.
+func TestClockRunTaskLeavesLaterEventsUnrun(t *testing.T) {
+	c := NewClock()
+	var ran []string
+	c.After(5*time.Millisecond, func() { ran = append(ran, "early") })
+	c.After(20*time.Millisecond, func() { ran = append(ran, "late") })
+	n := c.RunTask(func() {
+		c.Sleep(10 * time.Millisecond)
+		c.Go(func() { ran = append(ran, "same-instant") })
+	})
+	// Root start, early, root resume.
+	if n != 3 {
+		t.Errorf("RunTask ran %d events, want 3", n)
+	}
+	if fmt.Sprint(ran) != "[early]" || c.Now() != 10*time.Millisecond {
+		t.Errorf("ran %v by %v, want [early] by 10ms", ran, c.Now())
+	}
+	if c.Pending() != 2 {
+		t.Errorf("pending = %d, want 2 (same-instant and late)", c.Pending())
+	}
+	c.Run()
+	if fmt.Sprint(ran) != "[early same-instant late]" {
+		t.Errorf("after Run: %v", ran)
+	}
+}
+
+// TestClockRunUntilStopsAtDeadline: RunUntil runs events due at or
+// before its deadline, including a task's resume, and leaves the clock
+// at exactly the deadline.
+func TestClockRunUntilStopsAtDeadline(t *testing.T) {
+	c := NewClock()
+	var trace []string
+	c.Go(func() {
+		for i := 0; i < 3; i++ {
+			c.Sleep(7 * time.Millisecond)
+			trace = append(trace, fmt.Sprintf("wake@%v", c.Now()))
+		}
+	})
+	c.After(10*time.Millisecond, func() { trace = append(trace, "at-deadline") })
+	if n := c.RunUntil(10 * time.Millisecond); n != 3 {
+		t.Errorf("RunUntil(10ms) ran %d events, want 3", n)
+	}
+	if c.Now() != 10*time.Millisecond {
+		t.Errorf("now = %v, want 10ms", c.Now())
+	}
+	if n := c.RunUntil(12 * time.Millisecond); n != 0 || c.Now() != 12*time.Millisecond {
+		t.Errorf("RunUntil(12ms) ran %d events, now %v; want 0 and 12ms", n, c.Now())
+	}
+	c.Run()
+	if want := "[wake@7ms at-deadline wake@14ms wake@21ms]"; fmt.Sprint(trace) != want {
+		t.Errorf("trace = %v, want %v", trace, want)
+	}
+}
+
+// TestClockDeadlockPanicsAfterHandOff: a deadlock is still reported
+// when the last task to give up the CPU is not the stranded one, and
+// RunTask reports a root task that can never finish.
+func TestClockDeadlockPanicsAfterHandOff(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s with a stranded task did not panic", name)
+			}
+		}()
+		fn()
+	}
+	c := NewClock()
+	c.Go(func() { c.NewWaiter().Wait(-1) })
+	c.Go(func() { c.Sleep(time.Millisecond) })
+	mustPanic("Run", func() { c.Run() })
+
+	c = NewClock()
+	mustPanic("RunTask", func() { c.RunTask(func() { c.NewWaiter().Wait(-1) }) })
+}
+
+// TestClockBlockingFromRawGoroutinePanics: a goroutine the clock did not
+// start cannot block on it, before a drive or between two of its events.
+func TestClockBlockingFromRawGoroutinePanics(t *testing.T) {
+	c := NewClock()
+	blockOutside := func(op func()) interface{} {
+		got := make(chan interface{})
+		go func() {
+			defer func() { got <- recover() }()
+			op()
+		}()
+		return <-got
+	}
+	if blockOutside(func() { c.Sleep(time.Second) }) == nil {
+		t.Error("Sleep from a raw goroutine did not panic")
+	}
+	if blockOutside(func() { c.NewWaiter().Wait(time.Second) }) == nil {
+		t.Error("Waiter.Wait from a raw goroutine did not panic")
+	}
+	// Between two Steps no task holds the CPU either.
+	c.Go(func() {})
+	c.Step()
+	if blockOutside(func() { c.Sleep(0) }) == nil {
+		t.Error("Sleep from a raw goroutine between events did not panic")
+	}
+}
+
+// TestClockWaiterTimeoutTiesWake: when a waiter's deadline and a Wake
+// fall on the same instant, the event scheduled first wins — a Wake
+// armed before Wait beats the timeout, one armed after Wait loses to it
+// — on the wheel clock and the reference clock alike.
+func TestClockWaiterTimeoutTiesWake(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	run := func(c *Clock, wakeFirst bool) (bool, time.Duration) {
+		var woken bool
+		c.RunTask(func() {
+			w := c.NewWaiter()
+			if wakeFirst {
+				c.After(timeout, w.Wake)
+			} else {
+				c.Go(func() { c.After(timeout, w.Wake) }) // runs once Wait has parked
+			}
+			woken = w.Wait(timeout)
+		})
+		return woken, c.Now()
+	}
+	for _, wakeFirst := range []bool{true, false} {
+		gotW, gotAt := run(NewClock(), wakeFirst)
+		refW, refAt := run(newReferenceClock(), wakeFirst)
+		if gotW != refW || gotAt != refAt {
+			t.Errorf("wakeFirst=%v: clock (woken %v at %v), reference (woken %v at %v)", wakeFirst, gotW, gotAt, refW, refAt)
+		}
+		if gotW != wakeFirst || gotAt != timeout {
+			t.Errorf("wakeFirst=%v: woken %v at %v, want %v at %v", wakeFirst, gotW, gotAt, wakeFirst, timeout)
+		}
+	}
+}

@@ -29,7 +29,7 @@ type Scheduler interface {
 
 	// Sleep pauses the caller for d. Under the virtual clock the caller
 	// must be a scheduler task (started via Go, After, AfterFunc, Join,
-	// or Clock.RunTask); the task parks and the event loop carries on.
+	// or Clock.RunTask); the task parks and other tasks run meanwhile.
 	Sleep(d time.Duration)
 
 	// SleepCtx sleeps d, returning early with ctx.Err() when ctx is

@@ -1,17 +1,12 @@
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // eventStore holds a Clock's pending events in (time, schedule-id) order.
-// Two implementations exist: heapStore, the original binary heap kept as
-// the executable reference, and wheelStore (wheel.go), the hierarchical
-// timer wheel the Clock uses by default. Both deliver the exact same
-// total order — the differential tests in wheel_test.go push millions of
-// randomized schedules through the pair and require byte-identical pop
-// sequences.
+// The Clock uses wheelStore (wheel.go), a hierarchical timer wheel; the
+// differential tests in wheel_test.go hold it to the exact total order
+// of a plain binary heap, the executable reference, across millions of
+// randomized schedules.
 //
 // Stores are not safe for concurrent use; the Clock serializes access
 // under its mutex. Canceled events are discarded lazily whenever a store
@@ -20,40 +15,9 @@ type eventStore interface {
 	// push inserts a scheduled event. The event's at and id are set and
 	// id is strictly greater than that of any previously pushed event.
 	push(e *event)
-	// pop removes and returns the earliest live event, or nil when none
-	// remain.
-	pop() *event
+	// pop removes and returns the earliest live event if its time is at
+	// or before limit, or nil when no such event remains.
+	pop(limit time.Duration) *event
 	// next returns the earliest live event's time without removing it.
 	next() (time.Duration, bool)
-}
-
-// heapStore is the reference implementation: one binary heap ordered by
-// (at, id). Correct at any scale, but every operation costs O(log n) in
-// the total pending-event count — the bottleneck the timer wheel removes
-// for million-node deployments.
-type heapStore struct {
-	q eventQueue
-}
-
-func (h *heapStore) push(e *event) { heap.Push(&h.q, e) }
-
-func (h *heapStore) pop() *event {
-	for len(h.q) > 0 {
-		e := heap.Pop(&h.q).(*event)
-		if !e.canceled {
-			return e
-		}
-	}
-	return nil
-}
-
-func (h *heapStore) next() (time.Duration, bool) {
-	for len(h.q) > 0 {
-		if h.q[0].canceled {
-			heap.Pop(&h.q)
-			continue
-		}
-		return h.q[0].at, true
-	}
-	return 0, false
 }

@@ -71,6 +71,23 @@ type wheelStore struct {
 
 func newWheelStore() *wheelStore { return &wheelStore{} }
 
+// eventQueue is a container/heap of events ordered by (at, id): the
+// wheel's overflow heap.
+type eventQueue []*event
+
+func (q eventQueue) Len() int            { return len(q) }
+func (q eventQueue) Less(i, j int) bool  { return eventLess(q[i], q[j]) }
+func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
+func (q *eventQueue) Pop() interface{} {
+	old := *q
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return e
+}
+
 func wheelTick(at time.Duration) int64 { return int64(at) >> wheelTickShift }
 
 func eventLess(a, b *event) bool {
@@ -212,10 +229,10 @@ func (w *wheelStore) findMin() (*event, *wheelBucket) {
 	}
 }
 
-func (w *wheelStore) pop() *event {
+func (w *wheelStore) pop(limit time.Duration) *event {
 	for {
 		e, b := w.findMin()
-		if e == nil {
+		if e == nil || e.at > limit {
 			return nil
 		}
 		if b == nil {

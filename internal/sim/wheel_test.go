@@ -25,8 +25,9 @@ func diffSize(full int) int {
 
 // TestStoreDifferential drives heapStore and wheelStore with one
 // identical randomized op stream — pushes across all three residency
-// classes (level 0, level 1, overflow), pops, peeks, and cancellations —
-// and requires identical pop sequences event-for-event.
+// classes (level 0, level 1, overflow), pops with and without a time
+// limit, peeks, and cancellations — and requires identical pop sequences
+// event-for-event.
 func TestStoreDifferential(t *testing.T) {
 	const seed = 8
 	pushes := diffSize(1_000_000)
@@ -48,10 +49,10 @@ func TestStoreDifferential(t *testing.T) {
 		wheel.push(e)
 		pending = append(pending, e)
 	}
-	popBoth := func() bool {
-		a, b := ref.pop(), wheel.pop()
+	popBoth := func(limit time.Duration) bool {
+		a, b := ref.pop(limit), wheel.pop(limit)
 		if a != b {
-			t.Fatalf("pop diverged after %d ids: heap=%v wheel=%v", id, evString(a), evString(b))
+			t.Fatalf("pop(%v) diverged after %d ids: heap=%v wheel=%v", limit, id, evString(a), evString(b))
 		}
 		if a == nil {
 			return false
@@ -92,8 +93,11 @@ func TestStoreDifferential(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 6: // push
 			push(randomAt())
-		case op < 8: // pop
-			popBoth()
+		case op < 7: // pop
+			popBoth(forever)
+		case op < 8: // pop bounded by a limit near the frontier, as a
+			// RunUntil or ShardRunner window does
+			popBoth(now + time.Duration(rng.Int63n(int64(8*time.Millisecond))))
 		case op < 9: // cancel a random pending event
 			if len(pending) > 0 {
 				i := rng.Intn(len(pending))
@@ -109,7 +113,7 @@ func TestStoreDifferential(t *testing.T) {
 			}
 		}
 	}
-	for popBoth() {
+	for popBoth(forever) {
 	}
 }
 
@@ -137,7 +141,7 @@ func TestStoreDifferentialBehindWindow(t *testing.T) {
 		return e
 	}
 	popBoth := func() *event {
-		a, b := ref.pop(), wheel.pop()
+		a, b := ref.pop(forever), wheel.pop(forever)
 		if a != b {
 			t.Fatalf("pop diverged: heap=%v wheel=%v", evString(a), evString(b))
 		}
@@ -168,7 +172,8 @@ func TestStoreDifferentialBehindWindow(t *testing.T) {
 
 // clockScript drives one Clock through a seeded workload exercising
 // every scheduler entry point — AfterFunc chains that re-arm at the
-// same tick, Timer.Stop cancellations, Sleep/Waiter parking, and
+// same tick, Timer.Stop cancellations, Sleep/Waiter parking, Waiter
+// timeouts racing a Wake at the same instant, Step, RunTask, and
 // RunUntil fast-forwards that strand the wheel's windows ahead of later
 // pushes — and returns the execution trace. Two clocks given the same
 // seed must return byte-identical traces.
@@ -217,7 +222,10 @@ func clockScript(c *Clock, seed int64) []string {
 		c.At(start, func() { chain(i, 0) })
 	}
 	// A few sleeper tasks interleave Sleep and Waiter timeouts with the
-	// chains.
+	// chains. Each sleeper's waker lands before, at, or after its Wait
+	// deadline; at the deadline instant the event scheduled first wins,
+	// so a waker armed before Wait beats the timeout and one armed after
+	// Wait (from a task that runs once the sleeper parks) loses to it.
 	for i := 0; i < 16; i++ {
 		i := i
 		start := time.Duration(rng.Int63n(int64(10 * time.Second)))
@@ -226,24 +234,47 @@ func clockScript(c *Clock, seed int64) []string {
 				c.Sleep(time.Duration(i+1) * 777 * time.Millisecond)
 				logf("sleeper %d tick %d", i, s)
 			}
+			const timeout = 5 * time.Second
 			w := c.NewWaiter()
-			if !w.Wait(5 * time.Second) {
+			wake := func() { w.Wake(); logf("sleeper %d waker ran", i) }
+			switch i % 4 {
+			case 0:
+				c.After(timeout, wake)
+			case 1:
+				c.Go(func() { c.After(timeout, wake) })
+			case 2:
+				c.After(timeout/2, wake)
+			default:
+				c.After(2*timeout, wake)
+			}
+			if w.Wait(timeout) {
+				logf("sleeper %d woken", i)
+			} else {
 				logf("sleeper %d wait timed out", i)
 			}
 		})
 	}
 
-	// Drain in RunUntil hops with growing gaps, pushing fresh events
-	// after each hop — some land behind wherever the wheel's windows
-	// ended up.
+	// Drain in RunUntil hops with growing gaps, a few single Steps
+	// between them, pushing fresh events after each hop — some land
+	// behind wherever the wheel's windows ended up.
 	var deadline time.Duration
 	for hop := 0; deadline < 2*time.Minute; hop++ {
 		deadline += time.Duration(rng.Int63n(int64(20 * time.Second)))
 		c.RunUntil(deadline)
+		for k := rng.Intn(4); k > 0; k-- {
+			c.Step()
+		}
 		hop := hop
-		at := deadline + time.Duration(rng.Int63n(int64(time.Second)))
+		at := c.Now() + time.Duration(rng.Int63n(int64(time.Second)))
 		c.At(at, func() { logf("hop %d extra", hop) })
 	}
+	// A root task bounds the next drive: the chains still pending when
+	// it returns are left for Run.
+	c.RunTask(func() {
+		c.Sleep(10 * time.Second)
+		logf("root done")
+	})
 	c.Run()
 	return trace
 }
@@ -255,7 +286,7 @@ func clockScript(c *Clock, seed int64) []string {
 func TestClockDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		wheel := clockScript(NewClock(), seed)
-		ref := clockScript(NewReferenceClock(), seed)
+		ref := clockScript(newReferenceClock(), seed)
 		if len(wheel) != len(ref) {
 			t.Fatalf("seed %d: trace lengths diverged: wheel=%d ref=%d", seed, len(wheel), len(ref))
 		}
@@ -291,7 +322,7 @@ func BenchmarkStorePushPop(b *testing.B) {
 				for j := 0; j < n; j++ {
 					s.push(&event{at: at[j], id: uint64(j + 1)})
 				}
-				for s.pop() != nil {
+				for s.pop(forever) != nil {
 				}
 			}
 			b.SetBytes(n)

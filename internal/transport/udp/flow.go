@@ -122,6 +122,7 @@ func NewEndpoint(pnet transport.PacketNetwork, sched sim.Scheduler, cfg Config) 
 // relay token when the ladder falls through to a relay).
 func (e *Endpoint) Open(local transport.Addr, ssrc uint32) (*Flow, error) {
 	f := &Flow{
+		ready: make(chan struct{}),
 		sched: e.sched,
 		cfg:   e.cfg,
 		ssrc:  ssrc,
@@ -131,6 +132,7 @@ func (e *Endpoint) Open(local transport.Addr, ssrc uint32) (*Flow, error) {
 		return nil, err
 	}
 	f.conn = conn
+	close(f.ready)
 	return f, nil
 }
 
@@ -139,6 +141,7 @@ func (e *Endpoint) Open(local transport.Addr, ssrc uint32) (*Flow, error) {
 // calling scheduler task; SendVoice never blocks.
 type Flow struct {
 	conn  transport.PacketConn
+	ready chan struct{} // closed once conn is stored (see STUNServer.ready)
 	sched sim.Scheduler
 	cfg   Config
 	ssrc  uint32
@@ -633,6 +636,11 @@ func (f *Flow) kaTick() {
 //   - an inbound Ack proves our own Syn got through.
 //   - PTRelayBound redirects the flow's voice to the relay.
 func (f *Flow) dispatch(from transport.Addr, data []byte) {
+	select {
+	case <-f.ready:
+	default:
+		return // arrived before Open returned: lost, as on a socket not yet bound
+	}
 	p, err := Parse(data)
 	if err != nil || p.SSRC != f.ssrc {
 		return

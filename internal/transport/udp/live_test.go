@@ -1,7 +1,9 @@
 package udp
 
 import (
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,5 +135,131 @@ func TestLiveLoopback(t *testing.T) {
 	}
 	if st := b.Stats(); st.Packets < n {
 		t.Errorf("rx stats %+v, want >= %d packets", st, n)
+	}
+}
+
+// earlyNet opens sockets on a live network, and every ListenPacket
+// first has the new socket's handler take one datagram, first, sent from
+// the helper socket from: the owner sees a packet before ListenPacket
+// has returned, so before it has stored the conn.
+type earlyNet struct {
+	*Live
+	from  transport.PacketConn
+	first []byte
+}
+
+func (n *earlyNet) ListenPacket(addr transport.Addr, h transport.PacketHandler) (transport.PacketConn, error) {
+	handled := make(chan struct{})
+	var once sync.Once
+	conn, err := n.Live.ListenPacket(addr, func(from transport.Addr, data []byte) {
+		h(from, data)
+		once.Do(func() { close(handled) })
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := n.from.WriteTo(conn.LocalAddr(), n.first); err != nil {
+		return nil, err
+	}
+	select {
+	case <-handled:
+		return conn, nil
+	case <-time.After(2 * time.Second):
+		return nil, fmt.Errorf("early datagram to %s never delivered", conn.LocalAddr())
+	}
+}
+
+// liveEarlyWorld is a live loopback network, a helper socket whose
+// inbound datagrams arrive on the returned channel, and an earlyNet that
+// sends first from it.
+func liveEarlyWorld(t *testing.T, first Packet) (*earlyNet, transport.PacketConn, chan Packet) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("short mode: skipping real-socket test")
+	}
+	if !loopbackAvailable(t) {
+		t.Skip("UDP loopback unavailable on this runner")
+	}
+	lnet := NewLive()
+	t.Cleanup(func() { _ = lnet.Close() })
+	got := make(chan Packet, 8)
+	helper, err := lnet.ListenPacket("127.0.0.1:0", func(_ transport.Addr, data []byte) {
+		if p, err := Parse(data); err == nil {
+			select {
+			case got <- p:
+			default:
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &earlyNet{Live: lnet, from: helper, first: first.AppendTo(nil)}, helper, got
+}
+
+// awaitPacket returns the next datagram the helper socket received.
+func awaitPacket(t *testing.T, got chan Packet) Packet {
+	t.Helper()
+	select {
+	case p := <-got:
+		return p
+	case <-time.After(2 * time.Second):
+		t.Fatal("no answer on the helper socket")
+		return Packet{}
+	}
+}
+
+// TestRelayServerDropsDatagramsBeforeReady: a bind that reaches the
+// relay before NewRelayServerWith returns is dropped rather than
+// answered through a conn not yet stored; binds after it are served.
+func TestRelayServerDropsDatagramsBeforeReady(t *testing.T) {
+	bad := Packet{Type: PTRelayBind, Seq: 1, SSRC: 7, Payload: make([]byte, relayProofLen)}
+	enet, helper, got := liveEarlyWorld(t, bad)
+	r, err := NewRelayServerWith(enet, "127.0.0.1:0", nil, RelayConfig{Secret: []byte("k")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }()
+	if n := r.AuthRejections(); n != 0 {
+		t.Fatalf("early bind was handled: %d auth rejections, want 0", n)
+	}
+	buf := bad.AppendTo(nil)
+	if err := helper.WriteTo(r.Addr(), buf); err != nil {
+		t.Fatal(err)
+	}
+	if p := awaitPacket(t, got); p.Type != PTRelayReject || p.SSRC != 7 {
+		t.Fatalf("answer = %+v, want a PTRelayReject for flow 7", p)
+	}
+	if n := r.AuthRejections(); n != 1 {
+		t.Errorf("auth rejections = %d, want 1", n)
+	}
+}
+
+// TestEndpointOpenDropsDatagramsBeforeReady: a Syn that reaches a flow
+// before Endpoint.Open returns is dropped rather than acked through a
+// conn not yet stored; Syns after it are answered.
+func TestEndpointOpenDropsDatagramsBeforeReady(t *testing.T) {
+	syn := Packet{Type: PTSyn, Seq: 1, SSRC: 9}
+	enet, helper, got := liveEarlyWorld(t, syn)
+	ep, err := NewEndpoint(enet, wallFallback, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ep.Open("127.0.0.1:0", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	if path := f.Path(); path != PathNone {
+		t.Fatalf("early Syn was handled: path %v, want none", path)
+	}
+	if err := helper.WriteTo(f.LocalAddr(), syn.AppendTo(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if p := awaitPacket(t, got); p.Type != PTAck || p.SSRC != 9 {
+		t.Fatalf("answer = %+v, want a PTAck for flow 9", p)
+	}
+	if path := f.Path(); path != PathDirect {
+		t.Errorf("path = %v, want direct", path)
 	}
 }

@@ -47,6 +47,7 @@ import (
 // token and proof; the data plane here only verifies and forwards.
 type RelayServer struct {
 	conn  transport.PacketConn
+	ready chan struct{} // closed once conn is stored (see STUNServer.ready)
 	sched sim.Scheduler
 	cfg   RelayConfig
 
@@ -131,6 +132,7 @@ func NewRelayServerWith(pnet transport.PacketNetwork, addr transport.Addr, sched
 		return nil, fmt.Errorf("udp: relay FlowTTL needs a scheduler")
 	}
 	r := &RelayServer{
+		ready:    make(chan struct{}),
 		sched:    sched,
 		cfg:      cfg,
 		flows:    make(map[uint32]*relayFlow),
@@ -141,6 +143,7 @@ func NewRelayServerWith(pnet transport.PacketNetwork, addr transport.Addr, sched
 		return nil, fmt.Errorf("udp: relay listen: %w", err)
 	}
 	r.conn = conn
+	close(r.ready)
 	if cfg.FlowTTL > 0 {
 		ivl := cfg.SweepInterval
 		if ivl <= 0 {
@@ -298,6 +301,11 @@ func sourceHost(a transport.Addr) string {
 // I/O happens outside the lock (snapshot, unlock, write — the lockio
 // discipline).
 func (r *RelayServer) handle(from transport.Addr, data []byte) {
+	select {
+	case <-r.ready:
+	default:
+		return // arrived before the relay was up: lost, and the sender retries
+	}
 	p, err := Parse(data)
 	if err != nil {
 		return
